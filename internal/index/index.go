@@ -477,9 +477,10 @@ func (ix *Index) SearchPartition(query []float32, k int, kernel Kernel, part int
 	return ix.SearchPartitionEngine(query, k, kernel, EngineModel, part)
 }
 
-// scratchPool recycles the native engine's per-scan buffers across
-// queries and goroutines, keeping the steady-state scan loop free of
-// allocations without tying a Scratch to any one Searcher.
+// scratchPool recycles the native engine's per-query buffers (the
+// query-wide heap included) across queries and goroutines, keeping the
+// steady-state scan loop free of allocations without tying a Scratch to
+// any one Searcher.
 var scratchPool = sync.Pool{New: func() any { return scan.NewScratch() }}
 
 // SearchPartitionEngine scans one specific partition for the query with
@@ -490,10 +491,28 @@ func (ix *Index) SearchPartitionEngine(query []float32, k int, kernel Kernel, en
 	return ix.searchPartition(ix.snap.Load(), Request{Query: query, K: k, Kernel: kernel, Engine: engine}, part)
 }
 
-// searchPartition scans one partition of an explicitly held snapshot —
-// the lock-free scan core every query path funnels through. Threading
-// the snapshot (instead of reloading it) keeps one logical query on one
-// consistent view across multi-probe cells and batch workers.
+// searchPartition scans one partition of an explicitly held snapshot
+// into a heap of its own — the per-cell form the model engine's
+// metrology, queryParallel and SearchPartitionEngine use.
+func (ix *Index) searchPartition(s *Snapshot, req Request, part int) ([]Result, scan.Stats, error) {
+	sc := scratchPool.Get().(*scan.Scratch)
+	defer scratchPool.Put(sc)
+	heap := sc.Heap(req.K)
+	st, err := ix.scanInto(s, req, part, heap, sc)
+	if err != nil {
+		return nil, scan.Stats{}, err
+	}
+	return heap.Results(), st, nil
+}
+
+// scanInto scans one partition of an explicitly held snapshot into
+// heap — the lock-free scan core every query path funnels through.
+// Threading the snapshot (instead of reloading it) keeps one logical
+// query on one consistent view across multi-probe cells and batch
+// workers. heap may already hold the query's neighbors from earlier
+// cells: the native engine prunes against them (DESIGN.md §18); the
+// model engine scans into a heap of its own and merges, so its
+// per-cell metrology is unchanged.
 //
 // On the native engine the four exact-scan kernel selections (naive,
 // libpq, avx, gather) share one tuned implementation and the two Fast
@@ -504,10 +523,10 @@ func (ix *Index) SearchPartitionEngine(query []float32, k int, kernel Kernel, en
 // meaningful only under the instruction-counting engine. The
 // quantization-only ablation is a diagnostic of the model path and runs
 // there on either engine.
-func (ix *Index) searchPartition(s *Snapshot, req Request, part int) ([]Result, scan.Stats, error) {
+func (ix *Index) scanInto(s *Snapshot, req Request, part int, heap *topk.Heap, sc *scan.Scratch) (scan.Stats, error) {
 	query, k, kernel, engine := req.Query, req.K, req.Kernel, req.Engine
 	if part < 0 || part >= len(s.Parts) {
-		return nil, scan.Stats{}, fmt.Errorf("index: partition %d out of range", part)
+		return scan.Stats{}, fmt.Errorf("index: partition %d out of range", part)
 	}
 	t := ix.Tables(query, part)
 	pe := s.Parts[part]
@@ -535,15 +554,15 @@ func (ix *Index) searchPartition(s *Snapshot, req Request, part int) ([]Result, 
 	// the buffer pool and hydrate transient views over the pinned
 	// payload, released when the scan returns — a probe pins only the
 	// partitions it actually visits, for exactly as long as it scans
-	// them. Result slices are copied out before release on every path,
-	// so nothing aliases the pool frame after the pin drops.
+	// them. The heap holds copies of ids and distances, so nothing
+	// aliases the pool frame after the pin drops.
 	needFast := kernel == KernelFastScan || kernel == KernelFastScan256
 	p := pe.Part
 	var pagedFast *scan.FastScan
 	if pe.paged != nil {
 		hp, hfs, release, err := pe.paged.view(pe, needFast)
 		if err != nil {
-			return nil, scan.Stats{}, err
+			return scan.Stats{}, err
 		}
 		defer release()
 		p, pagedFast = hp, hfs
@@ -558,58 +577,49 @@ func (ix *Index) searchPartition(s *Snapshot, req Request, part int) ([]Result, 
 	if engine == EngineNative {
 		switch kernel {
 		case KernelNaive, KernelLibpq, KernelAVX, KernelGather:
-			sc := scratchPool.Get().(*scan.Scratch)
-			r, st := scan.ExactNative(p, t, k, sc)
-			out := append([]Result(nil), r...) // r aliases the pooled scratch
-			scratchPool.Put(sc)
-			return out, st, nil
+			return scan.ExactNativeInto(p, t, heap), nil
 		case KernelFastScan, KernelFastScan256:
 			fs, err := fastScanner()
 			if err != nil {
-				return nil, scan.Stats{}, err
+				return scan.Stats{}, err
 			}
-			sc := scratchPool.Get().(*scan.Scratch)
-			r, st := fs.ScanNativeBackend(t, k, sc, req.Backend)
-			out := append([]Result(nil), r...)
-			scratchPool.Put(sc)
-			return out, st, nil
+			return fs.ScanNativeInto(t, heap, sc, req.Backend), nil
 		}
 		// KernelQuantOnly (and unknown kernels) fall through to the
 		// model dispatch below.
 	}
+	var r []Result
+	var st scan.Stats
 	switch kernel {
 	case KernelNaive:
-		r, st := scan.Naive(p, t, k)
-		return r, st, nil
+		r, st = scan.Naive(p, t, k)
 	case KernelLibpq:
-		r, st := scan.Libpq(p, t, k)
-		return r, st, nil
+		r, st = scan.Libpq(p, t, k)
 	case KernelAVX:
-		r, st := scan.AVX(p, t, k)
-		return r, st, nil
+		r, st = scan.AVX(p, t, k)
 	case KernelGather:
-		r, st := scan.Gather(p, t, k)
-		return r, st, nil
+		r, st = scan.Gather(p, t, k)
 	case KernelFastScan:
 		fs, err := fastScanner()
 		if err != nil {
-			return nil, scan.Stats{}, err
+			return scan.Stats{}, err
 		}
-		r, st := fs.Scan(t, k)
-		return r, st, nil
+		r, st = fs.Scan(t, k)
 	case KernelQuantOnly:
-		r, st := scan.QuantizationOnly(p, t, k, ix.opt.FastScan.Keep)
-		return r, st, nil
+		r, st = scan.QuantizationOnly(p, t, k, ix.opt.FastScan.Keep)
 	case KernelFastScan256:
 		fs, err := fastScanner()
 		if err != nil {
-			return nil, scan.Stats{}, err
+			return scan.Stats{}, err
 		}
-		r, st := fs.Scan256(t, k)
-		return r, st, nil
+		r, st = fs.Scan256(t, k)
 	default:
-		return nil, scan.Stats{}, fmt.Errorf("index: unknown kernel %v", kernel)
+		return scan.Stats{}, fmt.Errorf("index: unknown kernel %v", kernel)
 	}
+	for _, x := range r {
+		heap.Push(x.ID, x.Distance)
+	}
+	return st, nil
 }
 
 // SearchMulti scans the nprobe closest partitions and merges their

@@ -131,12 +131,7 @@ func (ix *Index) querySnap(ctx context.Context, s *Snapshot, req Request) (*Resp
 	}
 
 	if nprobe == 1 {
-		part := ix.RoutePartition(req.Query)
-		res, stats, err := ix.searchPartition(s, req, part)
-		if err != nil {
-			return nil, err
-		}
-		return &Response{Results: res, Stats: stats, Partitions: []int{part}}, nil
+		return ix.queryCells(ctx, s, req, []int{ix.RoutePartition(req.Query)})
 	}
 
 	// Multi-probe: visit the nprobe cells closest to the query and merge
@@ -150,22 +145,24 @@ func (ix *Index) querySnap(ctx context.Context, s *Snapshot, req Request) (*Resp
 	return ix.queryCells(ctx, s, req, ids)
 }
 
-// queryCells scans the given cells sequentially and merges their
-// neighbors — the shared tail of the multi-probe and explicit-cells
-// paths.
+// queryCells scans the given cells sequentially, in order, into one
+// query-wide heap — the shared tail of the single-probe, multi-probe
+// and explicit-cells paths. On the native engine each cell prunes
+// against the k-th distance of the cells before it (DESIGN.md §18), so
+// visiting near cells first makes the rest cheaper; the results do not
+// depend on the order.
 func (ix *Index) queryCells(ctx context.Context, s *Snapshot, req Request, cellIDs []int) (*Response, error) {
-	heap := topk.New(req.K)
+	sc := scratchPool.Get().(*scan.Scratch)
+	defer scratchPool.Put(sc)
+	heap := sc.Heap(req.K)
 	resp := &Response{Partitions: make([]int, 0, len(cellIDs))}
 	for _, c := range cellIDs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		res, st, err := ix.searchPartition(s, req, c)
+		st, err := ix.scanInto(s, req, c, heap, sc)
 		if err != nil {
 			return nil, err
-		}
-		for _, r := range res {
-			heap.Push(r.ID, r.Distance)
 		}
 		resp.Stats.Merge(st)
 		resp.Partitions = append(resp.Partitions, c)
@@ -207,12 +204,14 @@ func RankCells(query []float32, coarse vec.Matrix) []int {
 // queryParallel scans the probed cells of one query concurrently — the
 // cross-partition parallelism extension of internal/par beyond its
 // construction-time use. Each cell runs on its own goroutine (par.For
-// caps concurrency at GOMAXPROCS) against the same snapshot; per-cell
-// results are merged sequentially in cell-visit order afterwards, so
-// Results and Stats are byte-identical to the sequential multi-probe
-// path: the retained set of a bounded heap is the k smallest
-// (distance, id) pairs regardless of push order, and stats (float64 op
-// sums included) accumulate in the deterministic cell order.
+// caps concurrency at GOMAXPROCS) against the same snapshot, into its
+// own heap — concurrent cells have no running k-th distance to share —
+// and per-cell results are merged sequentially in cell-visit order
+// afterwards. Results are byte-identical to the sequential path (the
+// retained set of a bounded heap is the k smallest (distance, id) pairs
+// regardless of push order) and stats, float64 op sums included,
+// accumulate in the deterministic cell order; on the native engine they
+// count per-cell pruning, not the sequential path's carried pruning.
 func (ix *Index) queryParallel(ctx context.Context, s *Snapshot, req Request, cellIDs []int) (*Response, error) {
 	type partial struct {
 		res []Result

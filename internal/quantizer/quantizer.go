@@ -185,17 +185,43 @@ func (t Tables) MaxSum() float32 {
 }
 
 // DistanceTables computes the m distance tables for query (Equation 2).
+// Every entry is bit-identical to vec.L2Squared of the sub-vector and
+// the centroid: one float32 sum per entry, accumulated in dimension
+// order. Four entries are computed side by side so their independent
+// add chains overlap instead of each waiting out the latency of the
+// previous add; the tail of a codebook whose size is not a multiple of
+// four runs one entry at a time.
 func (pq *ProductQuantizer) DistanceTables(query []float32) Tables {
 	if len(query) != pq.Dim {
 		panic("quantizer: dimensionality mismatch")
 	}
-	t := Tables{M: pq.M, KStar: pq.KStar(), Data: make([]float32, pq.M*pq.KStar())}
+	kstar, sd := pq.KStar(), pq.SubDim
+	t := Tables{M: pq.M, KStar: kstar, Data: make([]float32, pq.M*kstar)}
 	for j := 0; j < pq.M; j++ {
-		sub := query[j*pq.SubDim : (j+1)*pq.SubDim]
+		sub := query[j*sd : (j+1)*sd : (j+1)*sd]
 		row := t.Row(j)
-		cb := pq.Codebooks[j]
-		for i := 0; i < pq.KStar(); i++ {
-			row[i] = vec.L2Squared(sub, cb.Row(i))
+		cb := pq.Codebooks[j].Data
+		i := 0
+		for ; i+4 <= kstar; i += 4 {
+			c, n := cb[i*sd:(i+4)*sd], len(sub)
+			// Lengths equal to len(sub) let the compiler drop the bounds
+			// checks in the loop below.
+			c0, c1, c2, c3 := c[:n], c[sd:][:n], c[2*sd:][:n], c[3*sd:][:n]
+			var s0, s1, s2, s3 float32
+			for d, q := range sub {
+				d0 := q - c0[d]
+				d1 := q - c1[d]
+				d2 := q - c2[d]
+				d3 := q - c3[d]
+				s0 += d0 * d0
+				s1 += d1 * d1
+				s2 += d2 * d2
+				s3 += d3 * d3
+			}
+			row[i], row[i+1], row[i+2], row[i+3] = s0, s1, s2, s3
+		}
+		for ; i < kstar; i++ {
+			row[i] = vec.L2Squared(sub, cb[i*sd:(i+1)*sd])
 		}
 	}
 	return t

@@ -272,3 +272,42 @@ func TestEncodePanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestDistanceTablesBitIdentical: every table entry equals vec.L2Squared
+// of the sub-vector and its centroid bit for bit, across sub-vector
+// widths and codebook sizes. k* = 16 and 256 run the four-wide body
+// only; k* = 2 is smaller than the interleave width and runs the
+// one-entry tail only.
+func TestDistanceTablesBitIdentical(t *testing.T) {
+	for _, subDim := range []int{1, 3, 4, 8, 16, 32} {
+		for _, bits := range []int{1, 4, 8} {
+			const m = 4
+			pq := &ProductQuantizer{Config: Config{M: m, Bits: bits}, Dim: m * subDim, SubDim: subDim}
+			for j := 0; j < m; j++ {
+				pq.Codebooks = append(pq.Codebooks, randomData(pq.KStar(), subDim, uint64(100*subDim+10*bits+j)))
+			}
+			query := randomData(1, pq.Dim, uint64(subDim+bits)).Row(0)
+			tables := pq.DistanceTables(query)
+			for j := 0; j < m; j++ {
+				sub := query[j*subDim : (j+1)*subDim]
+				for i := 0; i < pq.KStar(); i++ {
+					want := vec.L2Squared(sub, pq.Codebooks[j].Row(i))
+					if got := tables.Row(j)[i]; math.Float32bits(got) != math.Float32bits(want) {
+						t.Fatalf("subDim %d k* %d: D_%d[%d] = %v, want %v", subDim, pq.KStar(), j, i, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkDistanceTables(b *testing.B) {
+	pq := &ProductQuantizer{Config: PQ8x8, Dim: 128, SubDim: 16}
+	for j := 0; j < pq.M; j++ {
+		pq.Codebooks = append(pq.Codebooks, randomData(pq.KStar(), pq.SubDim, uint64(j)))
+	}
+	query := randomData(1, pq.Dim, 99).Row(0)
+	for b.Loop() {
+		pq.DistanceTables(query)
+	}
+}

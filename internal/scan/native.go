@@ -33,6 +33,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/bits"
+	"slices"
 
 	"pqfastscan/internal/layout"
 	"pqfastscan/internal/quantizer"
@@ -112,6 +113,16 @@ const ulutSize = 0x0f0f + 1
 // is one instruction either way, so they run the table kernel at every
 // size. A variable so tests can force either path.
 var nativeLUTMinVectors = 4096
+
+// SetNativeLUTMinVectors sets the SWAR pair-LUT size gate and returns
+// the previous value, so tests outside this package can pin one SWAR
+// pipeline: 0 always takes the pair-LUT pipeline, a value above every
+// partition size always the byte-lane one. Results are identical either
+// way. It must not run concurrently with a scan.
+func SetNativeLUTMinVectors(n int) (old int) {
+	old, nativeLUTMinVectors = nativeLUTMinVectors, n
+	return old
+}
 
 // queryTables is the cached per-(query, partition-epoch) table state of
 // a native Fast Scan: the §4.4 distance quantizer, the quantized first-c
@@ -228,6 +239,15 @@ type staticPruneKey struct {
 // NewScratch returns an empty Scratch; buffers grow on first use and are
 // reused afterwards.
 func NewScratch() *Scratch { return &Scratch{heap: topk.New(1)} }
+
+// Heap returns the Scratch's top-k heap reset to retain k results: the
+// one heap a multi-probe query scans every probed cell into
+// (ScanNativeInto, ExactNativeInto). ScanNative and ExactNative reset
+// the same heap, so it must not be shared with them mid-query.
+func (sc *Scratch) Heap(k int) *topk.Heap {
+	sc.heap.Reset(k)
+	return sc.heap
+}
 
 // growSlice returns s resized to n elements, reusing its backing array
 // when possible. Contents are unspecified.
@@ -402,13 +422,36 @@ func (fs *FastScan) ScanNative(t quantizer.Tables, k int, sc *Scratch) ([]topk.R
 // backends (dispatch.Backend.Available); the index layer validates
 // requests before they reach this point.
 func (fs *FastScan) ScanNativeBackend(t quantizer.Tables, k int, sc *Scratch, be dispatch.Backend) ([]topk.Result, Stats) {
+	if sc == nil {
+		sc = NewScratch()
+	}
+	heap := sc.Heap(k)
+	stats := fs.ScanNativeInto(t, heap, sc, be)
+	sc.results = heap.AppendResults(sc.results[:0])
+	return sc.results, stats
+}
+
+// ScanNativeInto runs PQ Fast Scan into heap, which may already hold
+// the neighbors of earlier scans of the same query — the multi-probe
+// form of §4.4, where the temporary top-k is the query's, not the
+// cell's. A full heap's k-th distance bounds this scan from its first
+// vector: the keep phase filters against it, qmax and the prune
+// threshold derive from it, and a cell whose least possible distance
+// already exceeds it is skipped whole (every vector counted as lower
+// bounded and pruned). Results stay bit-identical to scanning each cell
+// into its own heap and merging, because every bound used is a valid
+// lower bound and the bounded heap's retained set is the k smallest
+// (distance, id) pairs whatever the push order; only the counters
+// differ, since they count the work actually done.
+func (fs *FastScan) ScanNativeInto(t quantizer.Tables, heap *topk.Heap, sc *Scratch, be dispatch.Backend) Stats {
 	check8x8(t)
 	if sc == nil {
 		sc = NewScratch()
 	}
 	be = dispatch.Resolve(be)
-	heap := sc.heap
-	heap.Reset(k)
+	if cannotContribute(t, heap) {
+		return Stats{Scanned: fs.part.N, LowerBounds: fs.part.N, Pruned: fs.part.N}
+	}
 	stats := Stats{Scanned: fs.part.N, KeepScanned: fs.keepN}
 
 	// Phase 1 (§4.4): keep region, same arithmetic as the model path.
@@ -417,26 +460,64 @@ func (fs *FastScan) ScanNativeBackend(t quantizer.Tables, k int, sc *Scratch, be
 	// Phase 2: cached per-(query, epoch) quantized tables.
 	qt := sc.queryTablesFor(fs, t, qmin, qmax)
 
-	thrVal, haveThr := heap.Threshold()
-	t8 := qt.dq.pruneThreshold(thrVal, haveThr)
-
+	b := newRunningBound(qt.dq, heap)
 	groupOrder := fs.groupVisitOrder(t, sc)
 
 	if be.Asm() {
-		fs.scanBlocksAsm(sc, qt, be, groupOrder, &t8, heap, t, &stats)
+		fs.scanBlocksAsm(sc, qt, be, groupOrder, &b, heap, t, &stats)
 	} else {
-		fs.scanBlocksSWAR(sc, qt, groupOrder, &t8, heap, t, &stats)
+		fs.scanBlocksSWAR(sc, qt, groupOrder, &b, heap, t, &stats)
 	}
-	sc.results = heap.AppendResults(sc.results[:0])
-	return sc.results, stats
+	return stats
+}
+
+// cannotContribute reports whether no vector scanned with tables t can
+// enter the full heap: the least possible ADC distance — each row's
+// minimum, summed in adc8's j order — already exceeds its k-th
+// distance. Float addition is monotone in each operand, so that sum is
+// a lower bound on every adc8 result, rounding included; a tie is not
+// enough, since a tied vector with a smaller id would still be kept.
+func cannotContribute(t quantizer.Tables, heap *topk.Heap) bool {
+	thr, ok := heap.Threshold()
+	if !ok {
+		return false
+	}
+	var lb float32
+	for j := 0; j < M; j++ {
+		lb += slices.Min(t.Row(j))
+	}
+	return lb > thr
+}
+
+// runningBound is a scan's current pruning state, refreshed whenever
+// the heap's k-th distance moves: t8 is the quantized threshold the
+// block masks compare against, thr the float k-th distance (+Inf while
+// the heap is not full) the exact re-checks compare against before
+// touching the heap.
+type runningBound struct {
+	dq  distQuantizer
+	t8  int8
+	thr float32
+}
+
+func newRunningBound(dq distQuantizer, heap *topk.Heap) runningBound {
+	b := runningBound{dq: dq, thr: float32(math.Inf(1))}
+	thr, ok := heap.Threshold()
+	b.t8 = dq.pruneThreshold(thr, ok)
+	if ok {
+		b.thr = thr
+	}
+	return b
 }
 
 // processLive walks the surviving lanes of one block in ascending lane
 // order (the model's lane loop visits them the same way, so the heap
 // evolves identically): tombstone check, exact re-check (right-hand
 // path of Figure 6), then threshold refresh — shared by every backend
-// so the decision sequence cannot drift.
-func (fs *FastScan) processLive(live uint32, base int, qt *queryTables, t quantizer.Tables, t8 *int8, heap *topk.Heap, hasDead bool, stats *Stats) {
+// so the decision sequence cannot drift. A re-checked distance above
+// the k-th skips the heap call; ties go through Push for the
+// deterministic id-order rule.
+func (fs *FastScan) processLive(live uint32, base int, t quantizer.Tables, b *runningBound, heap *topk.Heap, hasDead bool, stats *Stats) {
 	g := fs.grouped
 	for ; live != 0; live &= live - 1 {
 		pos := base + bits.TrailingZeros32(live)
@@ -446,9 +527,13 @@ func (fs *FastScan) processLive(live uint32, base int, qt *queryTables, t quanti
 		}
 		stats.Candidates++
 		d := adc8(g.Codes[pos*M:pos*M+M], t)
+		if d > b.thr {
+			continue
+		}
 		if heap.Push(g.IDs[pos], d) {
 			if thr, ok := heap.Threshold(); ok {
-				*t8 = qt.dq.pruneThreshold(thr, true)
+				b.t8 = b.dq.pruneThreshold(thr, true)
+				b.thr = thr
 			}
 		}
 	}
@@ -465,7 +550,7 @@ func (fs *FastScan) processLive(live uint32, base int, qt *queryTables, t quanti
 // evolution) is identical to the SWAR pipelines. The lower bound of a
 // lane never depends on the threshold, which is what makes the
 // group-at-a-time kernel call safe.
-func (fs *FastScan) scanBlocksAsm(sc *Scratch, qt *queryTables, be dispatch.Backend, groupOrder []int, t8 *int8, heap *topk.Heap, t quantizer.Tables, stats *Stats) {
+func (fs *FastScan) scanBlocksAsm(sc *Scratch, qt *queryTables, be dispatch.Backend, groupOrder []int, rb *runningBound, heap *topk.Heap, t quantizer.Tables, stats *Stats) {
 	g := fs.grouped
 	c := fs.c
 	bb := g.BlockSize()
@@ -487,13 +572,13 @@ func (fs *FastScan) scanBlocksAsm(sc *Scratch, qt *queryTables, be dispatch.Back
 		for b := 0; b < nb; b++ {
 			stats.Blocks++
 			var prunedMask uint32
-			if *t8 < 0 {
+			if rb.t8 < 0 {
 				prunedMask = 0xffff
 			} else {
 				// acc lanes and the addend are both <= 127: no carry, and
 				// bit 7 of a lane is set iff acc > t8 (for t8 == 127 the
 				// addend is 0 and no lane can reach bit 7 — no pruning).
-				add := swarGtAddend(*t8)
+				add := swarGtAddend(rb.t8)
 				lo := leUint64(sc.acc[b*16 : b*16+8])
 				hi := leUint64(sc.acc[b*16+8 : b*16+16])
 				prunedMask = swarMovemask(lo+add) | swarMovemask(hi+add)<<8
@@ -511,7 +596,7 @@ func (fs *FastScan) scanBlocksAsm(sc *Scratch, qt *queryTables, be dispatch.Back
 				continue
 			}
 			stats.Pruned += valid - bits.OnesCount32(live)
-			fs.processLive(live, vbase, qt, t, t8, heap, hasDead, stats)
+			fs.processLive(live, vbase, t, rb, heap, hasDead, stats)
 		}
 	}
 }
@@ -525,7 +610,7 @@ func (fs *FastScan) scanBlocksAsm(sc *Scratch, qt *queryTables, be dispatch.Back
 // paper's pshufb/paddsb/pcmpgtb/pmovmskb pipeline. Above the size gate
 // the pair-LUT pipeline replaces per-lane lookups with per-lane-PAIR
 // LUT loads in 16-bit lanes.
-func (fs *FastScan) scanBlocksSWAR(sc *Scratch, qt *queryTables, groupOrder []int, t8p *int8, heap *topk.Heap, t quantizer.Tables, stats *Stats) {
+func (fs *FastScan) scanBlocksSWAR(sc *Scratch, qt *queryTables, groupOrder []int, rb *runningBound, heap *topk.Heap, t quantizer.Tables, stats *Stats) {
 	g := fs.grouped
 	c := fs.c
 	bb := g.BlockSize()
@@ -567,7 +652,7 @@ func (fs *FastScan) scanBlocksSWAR(sc *Scratch, qt *queryTables, groupOrder []in
 		for b := 0; b < grp.BlockCount; b++ {
 			stats.Blocks++
 			blk := blocks[blockBase+b*bb : blockBase+(b+1)*bb : blockBase+(b+1)*bb]
-			t8 := *t8p
+			t8 := rb.t8
 
 			var prunedMask uint32
 			if useLUT {
@@ -704,7 +789,7 @@ func (fs *FastScan) scanBlocksSWAR(sc *Scratch, qt *queryTables, groupOrder []in
 				continue
 			}
 			stats.Pruned += valid - bits.OnesCount32(live)
-			fs.processLive(live, base, qt, t, t8p, heap, hasDead, stats)
+			fs.processLive(live, base, t, rb, heap, hasDead, stats)
 		}
 	}
 }
@@ -717,20 +802,31 @@ func leUint64(b []byte) uint64 {
 
 // ExactNative is the native engine's exact PQ Scan: one tuned
 // implementation serving the naive, libpq, avx and gather kernel
-// selections, which differ only in modeled cost, not results. The loop
-// accumulates the same float32 table entries in the same j = 0..7 order
-// as every other kernel (bit-identical results) with hoisted table rows,
-// bounds-check-free row indexing (a uint8 index into a 256-entry row)
-// and a local threshold that skips the heap call for vectors that cannot
-// be retained.
+// selections, which differ only in modeled cost, not results.
 func ExactNative(p *Partition, t quantizer.Tables, k int, sc *Scratch) ([]topk.Result, Stats) {
-	check8x8(t)
 	if sc == nil {
 		sc = NewScratch()
 	}
-	heap := sc.heap
-	heap.Reset(k)
+	heap := sc.Heap(k)
+	stats := ExactNativeInto(p, t, heap)
+	sc.results = heap.AppendResults(sc.results[:0])
+	return sc.results, stats
+}
+
+// ExactNativeInto runs the exact scan into heap, which may already hold
+// the neighbors of earlier scans of the same query (see ScanNativeInto).
+// The loop accumulates the same float32 table entries in the same
+// j = 0..7 order as every other kernel (bit-identical results) with
+// hoisted table rows, bounds-check-free row indexing (a uint8 index into
+// a 256-entry row) and a local threshold, seeded from a full heap, that
+// skips the heap call for vectors that cannot be retained; a cell that
+// cannot contribute at all is skipped whole.
+func ExactNativeInto(p *Partition, t quantizer.Tables, heap *topk.Heap) Stats {
+	check8x8(t)
 	stats := Stats{Scanned: p.N}
+	if cannotContribute(t, heap) {
+		return stats
+	}
 
 	td := t.Data
 	t0 := td[0*256 : 1*256 : 1*256]
@@ -744,8 +840,7 @@ func ExactNative(p *Partition, t quantizer.Tables, k int, sc *Scratch) ([]topk.R
 
 	codes, ids := p.Codes, p.IDs
 	hasDead := p.HasDead()
-	var thr float32
-	full := false
+	thr, full := heap.Threshold()
 	for i := 0; i < p.N; i++ {
 		id := int64(i)
 		if ids != nil {
@@ -768,6 +863,5 @@ func ExactNative(p *Partition, t quantizer.Tables, k int, sc *Scratch) ([]topk.R
 			}
 		}
 	}
-	sc.results = heap.AppendResults(sc.results[:0])
-	return sc.results, stats
+	return stats
 }
